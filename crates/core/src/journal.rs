@@ -27,6 +27,7 @@ use placesim_machine::{ArchConfig, MissBreakdown, Protocol};
 use placesim_obs::json::{self, JsonValue, JsonWriter};
 use placesim_obs::sink;
 use placesim_obs::FaultCounters;
+use placesim_trace::hash::fnv1a64;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -39,16 +40,6 @@ pub const JOURNAL_SCHEMA: &str = "placesim-journal-v1";
 /// Bounded retries [`JournalWriter::commit_cell`] spends absorbing
 /// transient append failures before giving up.
 const MAX_COMMIT_ATTEMPTS: u32 = 3;
-
-/// FNV-1a 64-bit hash, the per-line checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Renders a payload as a checksummed journal line (with trailing
 /// newline).
@@ -896,6 +887,17 @@ mod tests {
                 misses: MissBreakdown::default(),
             },
         }
+    }
+
+    /// Pins the on-disk line framing: the checksum is FNV-1a 64 over
+    /// the payload bytes, rendered as 16 lowercase hex digits, one
+    /// space, the payload and a newline. Existing journals must keep
+    /// verifying, so this must never change.
+    #[test]
+    fn checksummed_line_format_is_pinned() {
+        let payload = r#"{"schema": "placesim-journal-v1", "kind": "cell", "index": 0}"#;
+        assert_eq!(to_line(payload), format!("83240590335c10ee {payload}\n"));
+        assert_eq!(to_line(""), "cbf29ce484222325 \n");
     }
 
     #[test]

@@ -85,33 +85,6 @@ pub fn max_workers() -> usize {
         })
 }
 
-/// Worker threads each *simulation* may use internally (the intra-sim
-/// parallel engine in the machine crate).
-///
-/// Defaults to 1 (serial engine, bit-identical behavior); the
-/// `PLACESIM_SIM_THREADS` environment variable raises it. Values < 1 or
-/// unparsable fall back to 1 so a typo can never silently change engine
-/// results — the parallel engine is differential-tested against serial,
-/// but defaulting to serial keeps the blast radius of a bad setting
-/// zero.
-pub fn sim_workers() -> usize {
-    std::env::var("PLACESIM_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Splits a total thread budget between an outer job pool and the
-/// per-job inner (simulation) thread count: the outer pool gets
-/// `total / inner` workers, floored at one, so outer × inner never
-/// exceeds the budget (except for the unavoidable minimum of one outer
-/// worker). Used by the supervisor to compose cell-level and intra-sim
-/// parallelism without oversubscribing `PLACESIM_THREADS`.
-pub fn split_worker_budget(total: usize, inner: usize) -> usize {
-    (total / inner.max(1)).max(1)
-}
-
 /// Applies `f` to every item on a pool of worker threads and returns the
 /// results in input order.
 ///
@@ -300,11 +273,7 @@ where
 }
 
 /// [`parallel_map_isolated`] with an explicit worker-count cap instead
-/// of the ambient [`max_workers`] default. Callers whose items spawn
-/// their own inner threads (e.g. simulation cells running the parallel
-/// engine) pass a pre-divided budget here — see [`split_worker_budget`]
-/// — so the product of outer and inner workers respects
-/// `PLACESIM_THREADS`.
+/// of the ambient [`max_workers`] default.
 pub fn parallel_map_isolated_bounded<T, R, F>(
     items: &[T],
     cancel: Option<&CancelToken>,
@@ -382,29 +351,6 @@ mod tests {
     fn worker_count_is_positive() {
         // Whatever PLACESIM_THREADS or the host says, the pool is usable.
         assert!(max_workers() >= 1);
-    }
-
-    #[test]
-    fn sim_worker_count_is_positive() {
-        // Unset or garbage PLACESIM_SIM_THREADS must never zero the pool.
-        assert!(sim_workers() >= 1);
-    }
-
-    #[test]
-    fn budget_split_never_oversubscribes() {
-        assert_eq!(split_worker_budget(8, 1), 8);
-        assert_eq!(split_worker_budget(8, 2), 4);
-        assert_eq!(split_worker_budget(8, 3), 2);
-        assert_eq!(split_worker_budget(8, 16), 1); // floor at one outer worker
-        assert_eq!(split_worker_budget(1, 0), 1); // inner=0 treated as serial
-        for total in 1..=16usize {
-            for inner in 1..=16usize {
-                let outer = split_worker_budget(total, inner);
-                assert!(outer >= 1);
-                // Only the mandatory single outer worker may exceed budget.
-                assert!(outer == 1 || outer * inner <= total);
-            }
-        }
     }
 
     #[test]

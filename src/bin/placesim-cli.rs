@@ -26,8 +26,8 @@ use placesim::supervisor::SupervisorConfig;
 use placesim::{Error, PreparedApp};
 use placesim_analysis::{CharacteristicsRow, SharingAnalysis, SpillBudget};
 use placesim_machine::{
-    attribution_enabled, probe_coherence, simulate_attributed, simulate_attributed_parallel,
-    simulate_observed, simulate_traced, ArchConfig, AttrCollector, AttributionConfig, Protocol,
+    attribution_enabled, probe_coherence, simulate_attributed, simulate_observed, simulate_traced,
+    ArchConfig, AttrCollector, AttributionConfig, Protocol,
 };
 use placesim_obs::{sink, SpanTimer};
 use placesim_placement::{thread_lengths, PlacementAlgorithm, PlacementInputs};
@@ -39,6 +39,33 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `println!` for command output. A closed stdout (`placesim-cli info t
+/// | head -1`) means the reader has what it wanted: the process ends
+/// quietly with exit 0 instead of panicking on the broken pipe.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes command output to stdout; see [`outln!`].
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// A CLI failure carrying its process exit code. The taxonomy (documented
 /// in the README):
@@ -116,7 +143,7 @@ usage:
   placesim-cli place <trace> <algorithm> <processors> [--metrics out.json]
   placesim-cli simulate <trace> <algorithm> <processors>
                [--protocol wi|mesi|dragon] [--cache-kb K] [--assoc W]
-               [--latency L] [--switch C] [--sim-threads N]
+               [--latency L] [--switch C]
                [--metrics out.json] [--timeline out.json]
                [--attribution out.json]
   placesim-cli attribute <report.json> [--top N] [--pairs N]
@@ -126,7 +153,7 @@ usage:
   placesim-cli sweep <app> --journal <file> [--resume]
                [--protocol wi|mesi|dragon] [--scale S] [--seed N]
                [--algos A,B,...] [--procs 2,4,...]
-               [--max-attempts N] [--timeout-ms T] [--sim-threads N]
+               [--max-attempts N] [--timeout-ms T]
                [--report out.json] [--attribution out.json]
                [--telemetry live.json]
   placesim-cli serve --dir <dir> [--socket path] [--workers N]
@@ -136,7 +163,9 @@ usage:
                 [--scale S] [--seed N] [--protocol wi|mesi|dragon]
                 [--algos A,B,...] [--procs 2,4,...]]
                [result/wait: --id N [--timeout-ms T] [--raw]]
-exit codes: 0 ok; 1 runtime failure; 2 usage error;
+  placesim-cli --help | -h
+exit codes: 0 ok (also when stdout closes early); 1 runtime failure;
+            2 usage error (including an unknown flag);
             3 sweep finished with holes; 4 corrupt/mismatched journal;
             5 service directory locked by a live daemon";
 
@@ -151,7 +180,14 @@ const TIMELINE_CAPACITY: usize = 1 << 20;
 const ATTRIBUTION_TOP: usize = 1024;
 
 fn run(args: &[String]) -> Result<(), CliError> {
+    if let Some(cmd) = args.first() {
+        reject_unknown_flags(cmd, &args[1..])?;
+    }
     match args.first().map(String::as_str) {
+        Some("--help" | "-h") => {
+            outln!("{USAGE}");
+            Ok(())
+        }
         Some("suite") => Ok(cmd_suite()?),
         Some("gen") => Ok(cmd_gen(&args[1..])?),
         Some("info") => Ok(cmd_info(&args[1..])?),
@@ -167,6 +203,48 @@ fn run(args: &[String]) -> Result<(), CliError> {
         Some(other) => Err(CliError::Usage(format!("unknown command {other}"))),
         None => Err(CliError::Usage("missing command".into())),
     }
+}
+
+/// Rejects any flag `cmd` does not know, as a usage error, so a typo or
+/// a retired flag can never be silently ignored. Value flags skip their
+/// argument (the command parses it); switches stand alone. Unknown
+/// commands are left to the dispatcher.
+fn reject_unknown_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let (values, switches) = match cmd {
+        "suite" | "info" => ("", ""),
+        "gen" => ("--scale --seed --format", "--flat"),
+        "analyze" | "place" | "probe" => ("--metrics", ""),
+        "simulate" => (
+            "--protocol --cache-kb --assoc --latency --switch --metrics --timeline --attribution",
+            "",
+        ),
+        "attribute" => ("--top --pairs", ""),
+        "report" => ("--protocol --baseline --threshold --json", ""),
+        "sweep" => (
+            "--journal --protocol --scale --seed --algos --procs --max-attempts --timeout-ms \
+             --report --attribution --telemetry",
+            "--resume",
+        ),
+        "serve" => (
+            "--dir --socket --workers --queue --timeout-ms --max-attempts --cache",
+            "",
+        ),
+        "client" => (
+            "--socket --op --app --scale --seed --protocol --algos --procs --id --timeout-ms",
+            "--raw",
+        ),
+        _ => return Ok(()),
+    };
+    let known = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if known(values, a) {
+            rest.next();
+        } else if a.starts_with('-') && !known(switches, a) {
+            return Err(CliError::Usage(format!("{cmd} does not take {a}")));
+        }
+    }
+    Ok(())
 }
 
 /// Returns the raw value of a `--key value` flag, if present.
@@ -205,17 +283,6 @@ fn uint_flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
                 .map_err(|_| format!("{name} value must be a non-negative integer, got {v}"))
         })
         .transpose()
-}
-
-/// Parses `--sim-threads`, the intra-simulation worker-thread count.
-/// 1 (the default) is the serial engine; 0 is rejected as a usage error
-/// rather than silently meaning "serial".
-fn sim_threads_flag(args: &[String]) -> Result<usize, String> {
-    match uint_flag(args, "--sim-threads")? {
-        Some(0) => Err("--sim-threads must be at least 1".into()),
-        Some(n) => usize::try_from(n).map_err(|_| format!("--sim-threads value {n} exceeds usize")),
-        None => Ok(1),
-    }
 }
 
 /// Parses the `--protocol` flag into a coherence protocol. Junk values
@@ -275,12 +342,16 @@ fn open_streamed(path: &str) -> Result<stream::FileReader, String> {
 }
 
 fn cmd_suite() -> Result<(), String> {
-    println!(
+    outln!(
         "{:<14} {:<8} {:>8} {:>16} {:>14}",
-        "app", "grain", "threads", "mean length", "shared refs %"
+        "app",
+        "grain",
+        "threads",
+        "mean length",
+        "shared refs %"
     );
     for s in suite() {
-        println!(
+        outln!(
             "{:<14} {:<8} {:>8} {:>16} {:>13.1}%",
             s.name,
             format!("{:?}", s.granularity),
@@ -352,7 +423,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
             return Err(e);
         }
     };
-    println!(
+    outln!(
         "wrote {out}: {threads} threads, {total_refs} references (scale {}, seed {}, {} format)",
         opts.scale,
         opts.seed,
@@ -374,30 +445,30 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         let per_thread: Vec<stream::KindTotals> = (0..reader.thread_count())
             .map(|t| reader.totals(placesim_trace::ThreadId::from_index(t)))
             .collect();
-        println!("program:      {}", reader.name());
-        println!("threads:      {}", reader.thread_count());
-        println!("references:   {}", reader.total_refs());
-        println!(
+        outln!("program:      {}", reader.name());
+        outln!("threads:      {}", reader.thread_count());
+        outln!("references:   {}", reader.total_refs());
+        outln!(
             "instructions: {}",
             per_thread.iter().map(|k| k.instr).sum::<u64>()
         );
-        println!(
+        outln!(
             "data refs:    {}",
             per_thread.iter().map(|k| k.reads + k.writes).sum::<u64>()
         );
-        println!(
+        outln!(
             "chunks:       {} ({} checksummed payload bytes)",
             reader.total_chunks(),
             reader.total_payload_bytes()
         );
-        println!(
+        outln!(
             "footer:       {} index bytes at offset {}",
             reader.footer_bytes(),
             reader.footer_start()
         );
         for (t, k) in per_thread.iter().enumerate() {
             let tid = placesim_trace::ThreadId::from_index(t);
-            println!(
+            outln!(
                 "  T{t}: {} instrs, {} reads, {} writes, {} chunks ({} bytes)",
                 k.instr,
                 k.reads,
@@ -409,13 +480,13 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let prog = load_trace(path)?;
-    println!("program:      {}", prog.name());
-    println!("threads:      {}", prog.thread_count());
-    println!("references:   {}", prog.total_refs());
-    println!("instructions: {}", prog.total_instrs());
-    println!("data refs:    {}", prog.total_data_refs());
+    outln!("program:      {}", prog.name());
+    outln!("threads:      {}", prog.thread_count());
+    outln!("references:   {}", prog.total_refs());
+    outln!("instructions: {}", prog.total_instrs());
+    outln!("data refs:    {}", prog.total_data_refs());
     for (id, t) in prog.iter() {
-        println!(
+        outln!(
             "  {id}: {} instrs, {} reads, {} writes",
             t.instr_len(),
             t.read_len(),
@@ -457,35 +528,35 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let mut manifest = RunManifest::new("analyze", &row.app, &ArchConfig::paper_default());
         manifest.wall_secs = timer.elapsed_secs();
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("app: {}", row.app);
-    println!(
+    outln!("app: {}", row.app);
+    outln!(
         "pairwise sharing:      mean {:.0}  dev {:.1}%",
         row.pairwise_sharing.mean,
         row.pairwise_sharing.dev_percent()
     );
-    println!(
+    outln!(
         "n-way sharing:         mean {:.0}  dev {:.1}%",
         row.nway_sharing.mean,
         row.nway_sharing.dev_percent()
     );
-    println!(
+    outln!(
         "refs per shared addr:  mean {:.1}  dev {:.1}%",
         row.refs_per_shared_addr.mean,
         row.refs_per_shared_addr.dev_percent()
     );
-    println!(
+    outln!(
         "shared refs:           {:.1}%",
         row.shared_refs_percent.mean
     );
-    println!(
+    outln!(
         "thread length:         mean {:.0}  dev {:.1}%",
         row.thread_length.mean,
         row.thread_length.dev_percent()
     );
-    println!(
+    outln!(
         "shared addresses:      {} of {}",
         sharing.shared_address_count(),
         sharing.total_address_count()
@@ -543,19 +614,18 @@ fn cmd_place(args: &[String]) -> Result<(), String> {
             misses: placesim_machine::MissBreakdown::default(),
         }];
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("{} onto {processors} processors:", algo.paper_name());
-    print!("{map}");
-    println!("loads: {:?}", map.loads(&lengths));
-    println!("load imbalance: {:.3}", map.load_imbalance(&lengths));
+    outln!("{} onto {processors} processors:", algo.paper_name());
+    out!("{map}");
+    outln!("loads: {:?}", map.loads(&lengths));
+    outln!("load imbalance: {:.3}", map.load_imbalance(&lengths));
     Ok(())
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     // Validate pure arguments before touching the filesystem.
-    let sim_threads = sim_threads_flag(args)?;
     let protocol = protocol_flag(args)?;
     let prog = load_trace(args.first().ok_or("simulate needs a trace path")?)?;
     let algo = parse_algorithm(args.get(1).ok_or("simulate needs an algorithm")?)?;
@@ -597,32 +667,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let attribution_path = raw_flag(args, "--attribution")?;
     let mut attr: Option<AttrCollector> = None;
     let (stats, obs, trace) = if timeline_path.is_some() {
-        if sim_threads > 1 {
-            println!(
-                "note: --timeline needs the serial engine's cycle ordering; --sim-threads ignored"
-            );
-        }
         let (stats, obs, trace) =
             simulate_traced(&prog, &map, &config, TIMELINE_CAPACITY).map_err(|e| e.to_string())?;
         (stats, Some(obs), Some(trace))
     } else if attribution_path.is_some() {
-        // Attribution rides the engine hooks: serial and parallel agree
-        // bit-for-bit (DESIGN.md §13), so --sim-threads composes.
-        let acfg = AttributionConfig::default();
-        let (stats, collector) = if sim_threads > 1 {
-            simulate_attributed_parallel(&prog, &map, &config, acfg, sim_threads)
-        } else {
-            simulate_attributed(&prog, &map, &config, acfg)
-        }
-        .map_err(|e| e.to_string())?;
+        let (stats, collector) =
+            simulate_attributed(&prog, &map, &config, AttributionConfig::default())
+                .map_err(|e| e.to_string())?;
         attr = Some(collector);
-        (stats, None, None)
-    } else if sim_threads > 1 {
-        // The parallel engine is bit-identical to the serial one (see
-        // DESIGN.md §10); only the engine-internal obs report is
-        // unavailable, so `--metrics` output simply omits it.
-        let stats = placesim_machine::simulate_parallel(&prog, &map, &config, sim_threads)
-            .map_err(|e| e.to_string())?;
         (stats, None, None)
     } else {
         let (stats, obs) = simulate_observed(&prog, &map, &config).map_err(|e| e.to_string())?;
@@ -632,17 +684,17 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     if let (Some(path), Some(trace)) = (timeline_path, &trace) {
         sink::write_atomic(Path::new(path), trace.to_chrome_json().as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        outln!(
             "timeline:       {path} ({} events retained, {} dropped)",
             trace.len(),
             trace.dropped()
         );
         if trace.total_recorded() == 0 {
-            println!("  no events recorded: rebuild with `--features obs` to enable tracing");
+            outln!("  no events recorded: rebuild with `--features obs` to enable tracing");
         } else {
             let runs = trace.sharing_runs();
             let longest = runs.iter().map(placesim_machine::SharingRun::cycles).max();
-            println!(
+            outln!(
                 "  sequential-sharing runs: {}{}",
                 runs.len(),
                 longest.map_or_else(String::new, |c| format!(" (longest {c} cycles)"))
@@ -651,9 +703,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     }
 
     if attribution_path.is_some() && attr.is_none() {
-        // --timeline claimed the traced engine, so attribution takes
-        // its own serial pass (the engines produce identical stats, so
-        // the report describes the same run).
+        // --timeline claimed the traced run, so attribution takes its
+        // own pass (observation never perturbs the stats, so the report
+        // describes the same run).
         let (_, collector) =
             simulate_attributed(&prog, &map, &config, AttributionConfig::default())
                 .map_err(|e| e.to_string())?;
@@ -671,14 +723,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         sink::write_atomic(Path::new(path), body.as_bytes())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         if attribution_enabled() {
-            println!(
+            outln!(
                 "attribution:    {path} ({} events over {} addresses, {} mode)",
                 attr.total_events(),
                 attr.tracked_addresses(),
                 if attr.is_sketch() { "sketch" } else { "exact" }
             );
         } else {
-            println!("attribution:    {path} (disabled: rebuild with `--features obs`)");
+            outln!("attribution:    {path} (disabled: rebuild with `--features obs`)");
         }
     }
 
@@ -692,20 +744,20 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         )];
         manifest.obs = obs;
         manifest.write(Path::new(metrics))?;
-        println!("metrics:        {metrics}");
+        outln!("metrics:        {metrics}");
     }
 
     let m = stats.total_misses();
-    println!("execution time: {} cycles", stats.execution_time());
-    println!("references:     {}", stats.total_refs());
-    println!("miss rate:      {:.3}%", 100.0 * stats.miss_rate());
-    println!("misses:");
-    println!("  compulsory            {}", m.compulsory);
-    println!("  intra-thread conflict {}", m.intra_thread_conflict);
-    println!("  inter-thread conflict {}", m.inter_thread_conflict);
-    println!("  invalidation          {}", m.invalidation);
-    println!("coherence traffic: {}", stats.coherence_traffic());
-    println!("update traffic:    {}", stats.total_updates());
+    outln!("execution time: {} cycles", stats.execution_time());
+    outln!("references:     {}", stats.total_refs());
+    outln!("miss rate:      {:.3}%", 100.0 * stats.miss_rate());
+    outln!("misses:");
+    outln!("  compulsory            {}", m.compulsory);
+    outln!("  intra-thread conflict {}", m.intra_thread_conflict);
+    outln!("  inter-thread conflict {}", m.inter_thread_conflict);
+    outln!("  invalidation          {}", m.invalidation);
+    outln!("coherence traffic: {}", stats.coherence_traffic());
+    outln!("update traffic:    {}", stats.total_updates());
     Ok(())
 }
 
@@ -727,33 +779,46 @@ fn cmd_attribute(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
 
     if !doc.enabled {
-        println!(
+        outln!(
             "attribution was disabled in the producing build; rebuild with \
              `--features obs` and re-run `simulate --attribution`"
         );
         return Ok(());
     }
-    println!(
+    outln!(
         "coherence attribution: protocol {}, {} threads, {} mode ({} addresses tracked)",
-        doc.protocol, doc.threads, doc.mode, doc.tracked_addresses
+        doc.protocol,
+        doc.threads,
+        doc.mode,
+        doc.tracked_addresses
     );
     if doc.mode == "sketch" {
-        println!(
+        outln!(
             "  sketch counts may undercount by up to {} events per address",
             doc.error_bound
         );
     }
-    println!(
+    outln!(
         "totals: {} invalidations, {} updates, {} coherence misses ({} unattributed)",
-        doc.invalidations, doc.updates, doc.coherence_misses, doc.unattributed
+        doc.invalidations,
+        doc.updates,
+        doc.coherence_misses,
+        doc.unattributed
     );
-    println!("hot shared lines:");
-    println!(
+    outln!("hot shared lines:");
+    outln!(
         "  {:<14} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8}",
-        "line", "events", "inval", "update", "miss", "runs", "mean-run", "max-run"
+        "line",
+        "events",
+        "inval",
+        "update",
+        "miss",
+        "runs",
+        "mean-run",
+        "max-run"
     );
     for a in doc.top.iter().take(top_n) {
-        println!(
+        outln!(
             "  {:<#14x} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9.1} {:>8}",
             a.line,
             a.events,
@@ -766,14 +831,14 @@ fn cmd_attribute(args: &[String]) -> Result<(), CliError> {
         );
     }
     if doc.top.is_empty() {
-        println!("  (no attributed events)");
+        outln!("  (no attributed events)");
     }
-    println!("hottest thread pairs:");
+    outln!("hottest thread pairs:");
     for (a, b, c) in doc.pairs.iter().take(pairs_n) {
-        println!("  T{a} <-> T{b}: {c}");
+        outln!("  T{a} <-> T{b}: {c}");
     }
     if doc.pairs.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     Ok(())
 }
@@ -794,22 +859,22 @@ fn cmd_probe(args: &[String]) -> Result<(), String> {
             &result.stats,
         )];
         manifest.write(Path::new(metrics))?;
-        println!("metrics: {metrics}");
+        outln!("metrics: {metrics}");
     }
 
-    println!("one-thread-per-processor coherence probe:");
-    println!("  compulsory misses: {}", result.compulsory_misses());
-    println!("  coherence traffic: {}", result.total_traffic());
-    println!(
+    outln!("one-thread-per-processor coherence probe:");
+    outln!("  compulsory misses: {}", result.compulsory_misses());
+    outln!("  coherence traffic: {}", result.total_traffic());
+    outln!(
         "  traffic fraction:  {:.4}% of references",
         100.0 * result.traffic_fraction()
     );
     // Top-5 hottest thread pairs.
     let mut pairs: Vec<(usize, usize, u64)> = result.traffic.iter_pairs().collect();
     pairs.sort_by_key(|&(_, _, v)| std::cmp::Reverse(v));
-    println!("  hottest thread pairs:");
+    outln!("  hottest thread pairs:");
     for (a, b, v) in pairs.into_iter().take(5) {
-        println!("    T{a} <-> T{b}: {v}");
+        outln!("    T{a} <-> T{b}: {v}");
     }
     Ok(())
 }
@@ -850,19 +915,15 @@ fn collect_manifests(operands: &[&str]) -> Result<Vec<RunManifest>, String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    // Split positional manifest paths from `--flag value` pairs.
-    const VALUE_FLAGS: [&str; 4] = ["--baseline", "--threshold", "--json", "--protocol"];
+    // Split positional manifest paths from `--flag value` pairs (every
+    // report flag takes a value; unknown flags were rejected by `run`).
     let mut operands: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            i += 2; // flag + value, validated by the flag helpers below
-        } else if a.starts_with("--") {
-            return Err(format!("unknown report flag {a}"));
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if a.starts_with("--") {
+            rest.next(); // validated by the flag helpers below
         } else {
             operands.push(a);
-            i += 1;
         }
     }
     if operands.is_empty() {
@@ -884,12 +945,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         return Err("no valid manifests found".into());
     }
     let report = Report::from_manifests(&manifests);
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
 
     if let Some(out) = raw_flag(args, "--json")? {
         sink::write_atomic(Path::new(out), report.to_json().as_bytes())
             .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("report json: {out}");
+        outln!("report json: {out}");
     }
 
     if let Some(base) = raw_flag(args, "--baseline")? {
@@ -901,7 +962,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let baseline = Report::from_manifests(&base_manifests);
         let regressions = report.compare(&baseline, threshold);
         if regressions.is_empty() {
-            println!("baseline check: no regressions beyond {threshold:.1}%");
+            outln!("baseline check: no regressions beyond {threshold:.1}%");
         } else {
             for r in &regressions {
                 eprintln!(
@@ -964,15 +1025,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         None => vec![2, 4, 8, 16],
     };
 
-    // The sweep's cells call `simulate`, which reads
-    // PLACESIM_SIM_THREADS; the supervisor also reads it to shrink its
-    // cell pool so cell-level and simulation-level parallelism stay
-    // within the PLACESIM_THREADS budget.
-    let sim_threads = sim_threads_flag(args)?;
-    if sim_threads > 1 {
-        std::env::set_var("PLACESIM_SIM_THREADS", sim_threads.to_string());
-    }
-
     let mut sup = SupervisorConfig::new();
     if let Some(n) = uint_flag(args, "--max-attempts")? {
         sup.max_attempts =
@@ -1026,7 +1078,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         eprintln!("journal recovery dropped {d}");
     }
     if sweep.resumed > 0 {
-        println!(
+        outln!(
             "resumed: {} of {} cells recovered from {journal}",
             sweep.resumed,
             sweep.header.cell_count()
@@ -1046,19 +1098,24 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             reason: h.reason.clone(),
         })
         .collect();
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     let f = &sweep.faults;
     if f.total() > 0 {
-        println!(
+        outln!(
             "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
              {} journal I/O errors, {} retries",
-            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
+            f.panics,
+            f.timeouts,
+            f.abandoned,
+            f.errors,
+            f.io_errors,
+            f.retries
         );
     }
     if let Some(out) = raw_flag(args, "--report")? {
         sink::write_atomic(Path::new(out), report.to_json().as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-        println!("report json: {out}");
+        outln!("report json: {out}");
     }
     if let Some(out) = &attribution_out {
         // The sweep-level collector merges every committed cell of this
@@ -1074,9 +1131,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(format!("internal: attribution report invalid: {e}")))?;
         sink::write_atomic(Path::new(out), body.as_bytes())
             .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-        println!("attribution json: {out}");
+        outln!("attribution json: {out}");
     }
-    println!("journal: {journal}");
+    outln!("journal: {journal}");
 
     if sweep.is_complete() {
         Ok(())
@@ -1159,7 +1216,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         other => CliError::Runtime(other.to_string()),
     })?;
     if !recovery.resumed.is_empty() || recovery.completed > 0 {
-        println!(
+        outln!(
             "recovered from journal: {} finished, {} failed, {} resumed, {} line(s) dropped",
             recovery.completed,
             recovery.failed,
@@ -1167,7 +1224,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             recovery.dropped
         );
     }
-    println!("serving on {}", socket.display());
+    outln!("serving on {}", socket.display());
     let served = service::serve_unix(&svc, &socket, &term::STOP);
     // Drain even when the socket loop failed: accepted jobs finish or
     // stay journaled either way.
@@ -1175,13 +1232,18 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     served.map_err(|e| CliError::Runtime(e.to_string()))?;
     let f = svc.fault_counters();
     if f.total() > 0 {
-        println!(
+        outln!(
             "faults absorbed: {} panics, {} timeouts ({} threads abandoned), {} errors, \
              {} journal I/O errors, {} retries",
-            f.panics, f.timeouts, f.abandoned, f.errors, f.io_errors, f.retries
+            f.panics,
+            f.timeouts,
+            f.abandoned,
+            f.errors,
+            f.io_errors,
+            f.retries
         );
     }
-    println!("drained");
+    outln!("drained");
     Ok(())
 }
 
@@ -1294,9 +1356,9 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             .get("result")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| CliError::Runtime(format!("no result in response: {response}")))?;
-        println!("{result}");
+        outln!("{result}");
     } else {
-        println!("{response}");
+        outln!("{response}");
     }
     if doc.get("ok").and_then(JsonValue::as_bool) != Some(true) {
         return Err(CliError::Runtime(format!(
@@ -1358,50 +1420,12 @@ mod tests {
         assert!(run(&s(&["gen", "fft", "/tmp/x.trace", "--seed", "-1"])).is_err());
     }
 
+    /// Every subcommand refuses flags it does not know with a usage
+    /// error (exit 2) rather than ignoring them: a typo, or the retired
+    /// `--sim-threads`, must never run as if it had not been given.
     #[test]
-    fn sim_threads_flag_parses_strictly() {
-        assert_eq!(sim_threads_flag(&s(&[])).unwrap(), 1);
-        assert_eq!(sim_threads_flag(&s(&["--sim-threads", "4"])).unwrap(), 4);
-        for bad in ["0", "-2", "2.5", "junk", ""] {
-            let args = s(&["--sim-threads", bad]);
-            assert!(sim_threads_flag(&args).is_err(), "{bad:?} must be rejected");
-        }
-        assert!(sim_threads_flag(&s(&["--sim-threads"])).is_err());
-    }
-
-    #[test]
-    fn sim_threads_junk_is_a_usage_error() {
-        // Exit-code taxonomy: a bad --sim-threads is a usage error (2),
-        // even before the trace is touched.
-        let err = run(&s(&[
-            "simulate",
-            "/nonexistent.trace",
-            "LOAD-BAL",
-            "4",
-            "--sim-threads",
-            "zero",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code(), 2);
-        assert!(err.message().contains("--sim-threads"));
-        let err = run(&s(&[
-            "sweep",
-            "fft",
-            "--journal",
-            "/tmp/never-written.journal",
-            "--sim-threads",
-            "0",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code(), 2);
-    }
-
-    /// Round-trip: the same simulation through `--sim-threads 1` and
-    /// `--sim-threads 4` writes identical result entries (bit-identical
-    /// engines), differing only in wall time and the obs report.
-    #[test]
-    fn sim_threads_roundtrip_identical_results() {
-        let dir = std::env::temp_dir().join("placesim-cli-simthreads-test");
+    fn unknown_flags_are_usage_errors() {
+        let dir = std::env::temp_dir().join("placesim-cli-unknown-flag-test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("fft.trace");
         let trace_s = trace.to_str().unwrap().to_string();
@@ -1409,30 +1433,33 @@ mod tests {
             "gen", "fft", &trace_s, "--scale", "0.002", "--seed", "3",
         ]))
         .unwrap();
-
-        let results = |n: &str| -> String {
-            let metrics = dir.join(format!("run-{n}.json"));
-            let metrics_s = metrics.to_str().unwrap().to_string();
-            run(&s(&[
-                "simulate",
-                &trace_s,
-                "LOAD-BAL",
-                "4",
-                "--sim-threads",
-                n,
-                "--metrics",
-                &metrics_s,
-            ]))
-            .unwrap();
-            let body = std::fs::read_to_string(&metrics).unwrap();
-            RunManifest::validate(&body).unwrap();
-            std::fs::remove_file(&metrics).ok();
-            let start = body.find("\"results\"").expect("results key");
-            let end = body.find("\"obs\"").expect("obs key");
-            body[start..end].to_string()
-        };
-        assert_eq!(results("1"), results("4"));
-        std::fs::remove_file(&trace).ok();
+        let journal = dir.join("never-written.journal");
+        let journal_s = journal.to_str().unwrap().to_string();
+        for (flag, value) in [("--sim-threads", "2"), ("--bogus", "7")] {
+            for argv in [
+                vec!["simulate", &trace_s, "LOAD-BAL", "4", flag, value],
+                vec![
+                    "sweep",
+                    "fft",
+                    "--journal",
+                    &journal_s,
+                    "--scale",
+                    "0.002",
+                    "--algos",
+                    "RANDOM",
+                    "--procs",
+                    "2",
+                    flag,
+                    value,
+                ],
+            ] {
+                let err = run(&s(&argv)).unwrap_err();
+                assert_eq!(err.code(), 2, "{argv:?} -> {err:?}");
+                assert!(err.message().contains(flag), "{argv:?} -> {err:?}");
+            }
+        }
+        assert!(!journal.exists(), "a rejected sweep must not start");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1839,8 +1866,8 @@ mod tests {
         ]))
         .unwrap();
 
-        let report = |threads: &str| -> String {
-            let out = dir.join(format!("attr-{threads}.json"));
+        let report = |run_id: &str| -> String {
+            let out = dir.join(format!("attr-{run_id}.json"));
             let out_s = out.to_str().unwrap().to_string();
             run(&s(&[
                 "simulate",
@@ -1849,8 +1876,6 @@ mod tests {
                 "4",
                 "--protocol",
                 "mesi",
-                "--sim-threads",
-                threads,
                 "--attribution",
                 &out_s,
             ]))
@@ -1859,7 +1884,7 @@ mod tests {
             std::fs::read_to_string(&out).unwrap()
         };
         let serial = report("1");
-        assert_eq!(serial, report("4"), "parallel attribution must agree");
+        assert_eq!(serial, report("2"), "attribution must be deterministic");
 
         let doc = placesim_obs::attribution::parse(&serial).unwrap();
         assert_eq!(doc.protocol, "mesi");
