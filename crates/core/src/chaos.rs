@@ -121,8 +121,10 @@ impl ChaosPlan {
     }
 
     /// The journal fault (if any) for the first append of `cell`'s
-    /// line. Callers apply this to attempt 0 only; the journal writer's
-    /// internal retry then deterministically succeeds.
+    /// line. The supervisor arms it on the journal with
+    /// [`crate::journal::RecordLog::inject_fault`]; it fires on the
+    /// append's first attempt only, so the log's internal retry then
+    /// deterministically succeeds.
     pub fn journal_fault(&self, cell: usize) -> Option<JournalFault> {
         let roll = self.roll(cell, FaultClass::Journal);
         if roll < self.journal_per_mille {

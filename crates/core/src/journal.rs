@@ -1,26 +1,31 @@
-//! Append-only checkpoint journal for supervised sweeps
-//! (`placesim-journal-v1`).
+//! Append-only checksummed record logs: the checkpoint journal of
+//! supervised sweeps (`placesim-journal-v1`) and the placement
+//! service's durable job queue.
 //!
-//! A sweep journal is a line-oriented text file. The first line is a
-//! **header** describing the exact grid being swept (app, generation
-//! parameters, architecture, algorithm × processor-count axes); every
-//! subsequent line commits one completed grid cell. Each line is
+//! A [`RecordLog`] is a line-oriented text file. Each line is
 //! self-validating: a 16-hex-digit FNV-1a checksum of the JSON payload,
-//! one space, then a single strictly-parsed JSON document:
+//! one space, then a single strictly-parsed JSON document carrying the
+//! log's schema tag. [`RecordLog::append`] writes, flushes and fsyncs a
+//! line before reporting success — a committed record survives
+//! `SIGKILL` and power loss. Recovery keeps the **longest valid
+//! prefix**: the first torn, corrupt or rejected line ends the prefix,
+//! and everything from there on is dropped with a per-line reason.
+//! Reopening a log truncates it back to that prefix, so a crashed writer
+//! restarts from exactly the records whose commits are provably durable.
+//!
+//! A sweep journal is a record log whose first record is a **header**
+//! describing the exact grid being swept (app, generation parameters,
+//! architecture, algorithm × processor-count axes); every later record
+//! commits one completed grid cell:
 //!
 //! ```text
 //! <crc16hex> {"schema": "placesim-journal-v1", "kind": "header", ...}
 //! <crc16hex> {"schema": "placesim-journal-v1", "kind": "cell", "index": 0, ...}
 //! ```
 //!
-//! Lines are appended with [`JournalWriter::commit_cell`], which writes,
-//! flushes and fsyncs before reporting success — a committed cell
-//! survives `SIGKILL` and power loss. Recovery ([`recover`]) keeps the
-//! **longest valid prefix**: the first torn, corrupt, out-of-grid or
-//! duplicate line ends the prefix, and everything from there on is
-//! dropped with a per-line reason. [`JournalWriter::resume`] truncates
-//! the file back to that prefix, so a crashed sweep restarts from
-//! exactly the set of cells whose commits are provably durable.
+//! Its acceptance rule ([`recover`]) reads the header first, then
+//! accepts only in-grid cells that are not duplicates. The service's
+//! log accepts every record of its schema ([`recover_records`]).
 
 use crate::manifest::ManifestEntry;
 use placesim_machine::{ArchConfig, MissBreakdown, Protocol};
@@ -37,17 +42,16 @@ use std::path::Path;
 /// changes.
 pub const JOURNAL_SCHEMA: &str = "placesim-journal-v1";
 
-/// Bounded retries [`JournalWriter::commit_cell`] spends absorbing
-/// transient append failures before giving up.
+/// Bounded retries [`RecordLog::append`] spends absorbing transient
+/// append failures before giving up.
 const MAX_COMMIT_ATTEMPTS: u32 = 3;
 
-/// Renders a payload as a checksummed journal line (with trailing
-/// newline).
+/// Renders a payload as a checksummed log line (with trailing newline).
 fn to_line(payload: &str) -> String {
     format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()))
 }
 
-/// Any failure touching a sweep journal.
+/// Any failure touching a record log.
 #[derive(Debug)]
 pub enum JournalError {
     /// The filesystem failed underneath the journal.
@@ -124,6 +128,12 @@ impl JournalHeader {
 
     /// The header as a checksummed journal line (with trailing newline).
     pub fn to_line(&self) -> String {
+        to_line(&self.payload())
+    }
+
+    /// The header as a journal record payload: the JSON document
+    /// [`RecordLog::append`] frames into a line.
+    pub(crate) fn payload(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", JOURNAL_SCHEMA);
@@ -154,7 +164,7 @@ impl JournalHeader {
         }
         w.end_array();
         w.end_object();
-        to_line(&w.finish())
+        w.finish()
     }
 
     fn from_doc(doc: &JsonValue) -> Result<Self, String> {
@@ -252,6 +262,12 @@ pub struct JournalCell {
 impl JournalCell {
     /// The cell as a checksummed journal line (with trailing newline).
     pub fn to_line(&self) -> String {
+        to_line(&self.payload())
+    }
+
+    /// The cell as a journal record payload: the JSON document
+    /// [`RecordLog::append`] frames into a line.
+    pub(crate) fn payload(&self) -> String {
         let e = &self.entry;
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -272,7 +288,7 @@ impl JournalCell {
         w.field_u64("inter_thread_conflict", e.misses.inter_thread_conflict);
         w.field_u64("invalidation", e.misses.invalidation);
         w.end_object();
-        to_line(&w.finish())
+        w.finish()
     }
 
     fn from_doc(doc: &JsonValue) -> Result<Self, String> {
@@ -354,145 +370,150 @@ impl JournalRecovery {
     }
 }
 
-/// Parses one checksummed line into its JSON document.
-fn parse_line(body: &str) -> Result<JsonValue, String> {
-    let (crc_hex, payload) = body
-        .split_once(' ')
-        .ok_or("missing checksum prefix".to_owned())?;
+/// The result of recovering a record log: the longest valid prefix of
+/// accepted records plus an exact account of everything dropped.
+#[derive(Debug)]
+pub struct RecordRecovery<T = JsonValue> {
+    /// Accepted records in append order.
+    pub records: Vec<T>,
+    /// Lines discarded (empty when the log is pristine).
+    pub dropped: Vec<DroppedLine>,
+    /// Byte length of the valid prefix; everything past this offset is
+    /// garbage that reopening the log truncates away.
+    pub valid_bytes: u64,
+}
+
+/// Recovers a record log from raw bytes, keeping the longest valid
+/// prefix. A line survives when it is newline-terminated UTF-8 (CRLF
+/// endings are tolerated), non-empty, its checksum verifies, its payload
+/// strictly parses and carries `"schema": <schema>`, and `accept` turns
+/// the document into a record. The first line failing any of these ends
+/// the prefix: that line and every later one are reported in
+/// [`RecordRecovery::dropped`]. An empty input is a valid, empty log.
+fn recover_records_with<T>(
+    data: &[u8],
+    schema: &str,
+    mut accept: impl FnMut(JsonValue) -> Result<T, String>,
+) -> RecordRecovery<T> {
+    let mut rec = RecordRecovery {
+        records: Vec::new(),
+        dropped: Vec::new(),
+        valid_bytes: 0,
+    };
+    // Split by hand on '\n' (terminator kept, unterminated tail last)
+    // so byte offsets stay exact even across invalid UTF-8.
+    for (i, chunk) in data.split_inclusive(|&b| b == b'\n').enumerate() {
+        let line = i + 1;
+        if let Some(first_bad) = rec.dropped.first().map(|d| d.line) {
+            rec.dropped.push(DroppedLine {
+                line,
+                reason: format!("discarded: follows invalid line {first_bad}"),
+            });
+            continue;
+        }
+        match parse_line(chunk, schema).and_then(&mut accept) {
+            Ok(record) => {
+                rec.records.push(record);
+                rec.valid_bytes += chunk.len() as u64;
+            }
+            Err(reason) => rec.dropped.push(DroppedLine { line, reason }),
+        }
+    }
+    rec
+}
+
+/// Recovers a record log from raw bytes, keeping the longest valid
+/// prefix of `schema` records. Every verified record is accepted — the
+/// placement service's rule; sweep journals add theirs in [`recover`].
+pub fn recover_records(data: &[u8], schema: &str) -> RecordRecovery {
+    recover_records_with(data, schema, Ok)
+}
+
+/// Parses one newline-terminated chunk into its JSON document: line
+/// terminator, UTF-8, checksum, strict JSON and schema tag.
+fn parse_line(chunk: &[u8], schema: &str) -> Result<JsonValue, String> {
+    let body = chunk
+        .strip_suffix(b"\n")
+        .map(|b| b.strip_suffix(b"\r").unwrap_or(b))
+        .and_then(|b| std::str::from_utf8(b).ok())
+        .ok_or("torn line (no terminating newline or invalid UTF-8)")?;
+    if body.is_empty() {
+        return Err("empty line".into());
+    }
+    let (crc_hex, payload) = body.split_once(' ').ok_or("missing checksum prefix")?;
     if crc_hex.len() != 16 {
         return Err("checksum prefix is not 16 hex digits".into());
     }
-    let crc =
-        u64::from_str_radix(crc_hex, 16).map_err(|_| "checksum prefix is not hex".to_owned())?;
+    let crc = u64::from_str_radix(crc_hex, 16).map_err(|_| "checksum prefix is not hex")?;
     if crc != fnv1a64(payload.as_bytes()) {
         return Err("checksum mismatch (torn or corrupted line)".into());
     }
     let doc = json::parse(payload).map_err(|e| format!("payload rejected: {e}"))?;
-    if doc.get("schema").and_then(JsonValue::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err(format!("payload is not schema {JOURNAL_SCHEMA}"));
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(schema) {
+        return Err(format!("payload is not schema {schema}"));
     }
     Ok(doc)
 }
 
-/// Recovers a journal from its raw bytes, keeping the longest valid
-/// prefix. The header line must be intact — without it the journal
-/// cannot be attributed to a sweep and is [`JournalError::Corrupt`].
-/// Every later defect (torn final line, interleaved garbage, bad
-/// checksum, invalid UTF-8, duplicate or out-of-grid cells, CRLF
-/// endings are tolerated) ends the prefix: that line and everything
-/// after it are reported in [`JournalRecovery::dropped`].
+/// Recovers a sweep journal from its raw bytes, keeping the longest
+/// valid prefix. The header line must be intact — without it the
+/// journal cannot be attributed to a sweep and is
+/// [`JournalError::Corrupt`]. After it, only in-grid, non-duplicate
+/// cells are accepted; every later defect (torn final line, interleaved
+/// garbage, bad checksum, invalid UTF-8, duplicate or out-of-grid cells)
+/// ends the prefix, and that line and everything after it are reported
+/// in [`JournalRecovery::dropped`].
 ///
 /// # Errors
 ///
 /// [`JournalError::Corrupt`] when the header line is missing or
 /// unreadable.
 pub fn recover(data: &[u8]) -> Result<JournalRecovery, JournalError> {
-    // Split into newline-terminated chunks by hand so byte offsets stay
-    // exact even across invalid UTF-8.
-    let mut chunks: Vec<&[u8]> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            chunks.push(&data[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < data.len() {
-        chunks.push(&data[start..]); // unterminated tail
-    }
-
-    // Line 1: the header. Unreadable header = unrecoverable journal.
-    let first = chunks
-        .first()
-        .ok_or_else(|| JournalError::Corrupt("journal is empty".into()))?;
-    let header_body = line_body(first)
-        .ok_or_else(|| JournalError::Corrupt("header line is torn or not UTF-8".into()))?;
-    let header_doc =
-        parse_line(header_body).map_err(|e| JournalError::Corrupt(format!("header {e}")))?;
-    if header_doc.get("kind").and_then(JsonValue::as_str) != Some("header") {
-        return Err(JournalError::Corrupt(
-            "first line is not a header record".into(),
-        ));
-    }
-    let header = JournalHeader::from_doc(&header_doc).map_err(JournalError::Corrupt)?;
-
-    let mut cells: Vec<JournalCell> = Vec::new();
-    let mut dropped = Vec::new();
-    let mut valid_bytes = first.len() as u64;
-    let mut invalid_at: Option<usize> = None;
-
-    for (i, chunk) in chunks.iter().enumerate().skip(1) {
-        let line_no = i + 1;
-        if let Some(first_bad) = invalid_at {
-            dropped.push(DroppedLine {
-                line: line_no,
-                reason: format!("discarded: follows invalid line {first_bad}"),
-            });
-            continue;
-        }
-        match validate_cell_line(chunk, &header, &cells) {
-            Ok(cell) => {
-                cells.push(cell);
-                valid_bytes += chunk.len() as u64;
+    let mut header: Option<JournalHeader> = None;
+    let mut committed: Vec<bool> = Vec::new();
+    let rec = recover_records_with(data, JOURNAL_SCHEMA, |doc| {
+        let kind = doc.get("kind").and_then(JsonValue::as_str);
+        let Some(h) = &header else {
+            if kind != Some("header") {
+                return Err("first line is not a header record".into());
             }
-            Err(reason) => {
-                dropped.push(DroppedLine {
-                    line: line_no,
-                    reason,
-                });
-                invalid_at = Some(line_no);
-            }
+            let h = JournalHeader::from_doc(&doc)?;
+            committed = vec![false; h.cell_count()];
+            header = Some(h);
+            return Ok(None);
+        };
+        match kind {
+            Some("cell") => {}
+            Some(other) => return Err(format!("unexpected record kind {other:?}")),
+            None => return Err("record has no kind".into()),
         }
-    }
-
+        let cell = JournalCell::from_doc(&doc)?;
+        let (algo, procs) = h
+            .cell(cell.index)
+            .ok_or_else(|| format!("cell index {} is outside the grid", cell.index))?;
+        if cell.entry.algorithm != algo || cell.entry.processors != procs {
+            return Err(format!(
+                "cell {} claims ({}, {}p) but the grid says ({algo}, {procs}p)",
+                cell.index, cell.entry.algorithm, cell.entry.processors
+            ));
+        }
+        if std::mem::replace(&mut committed[cell.index], true) {
+            return Err(format!("duplicate entry for cell {}", cell.index));
+        }
+        Ok(Some(cell))
+    });
+    let Some(header) = header else {
+        return Err(JournalError::Corrupt(match rec.dropped.first() {
+            Some(line) => format!("header {line}"),
+            None => "journal is empty".into(),
+        }));
+    };
     Ok(JournalRecovery {
         header,
-        cells,
-        dropped,
-        valid_bytes,
+        cells: rec.records.into_iter().flatten().collect(),
+        dropped: rec.dropped,
+        valid_bytes: rec.valid_bytes,
     })
-}
-
-/// The UTF-8 body of a newline-terminated chunk, with the line
-/// terminator (`\n` or `\r\n`) stripped. `None` if the chunk is
-/// unterminated (torn) or not UTF-8.
-fn line_body(chunk: &[u8]) -> Option<&str> {
-    let without_nl = chunk.strip_suffix(b"\n")?;
-    let body = without_nl.strip_suffix(b"\r").unwrap_or(without_nl);
-    std::str::from_utf8(body).ok()
-}
-
-/// Validates one cell chunk against the header grid and the cells
-/// already accepted.
-fn validate_cell_line(
-    chunk: &[u8],
-    header: &JournalHeader,
-    accepted: &[JournalCell],
-) -> Result<JournalCell, String> {
-    let body = line_body(chunk).ok_or("torn line (no terminating newline or invalid UTF-8)")?;
-    if body.is_empty() {
-        return Err("empty line".into());
-    }
-    let doc = parse_line(body)?;
-    match doc.get("kind").and_then(JsonValue::as_str) {
-        Some("cell") => {}
-        Some(other) => return Err(format!("unexpected record kind {other:?}")),
-        None => return Err("record has no kind".into()),
-    }
-    let cell = JournalCell::from_doc(&doc)?;
-    let (algo, procs) = header
-        .cell(cell.index)
-        .ok_or_else(|| format!("cell index {} is outside the grid", cell.index))?;
-    if cell.entry.algorithm != algo || cell.entry.processors != procs {
-        return Err(format!(
-            "cell {} claims ({}, {}p) but the grid says ({algo}, {procs}p)",
-            cell.index, cell.entry.algorithm, cell.entry.processors
-        ));
-    }
-    if accepted.iter().any(|c| c.index == cell.index) {
-        return Err(format!("duplicate entry for cell {}", cell.index));
-    }
-    Ok(cell)
 }
 
 /// Reads and recovers a journal file.
@@ -505,266 +526,64 @@ pub fn read_journal(path: &Path) -> Result<JournalRecovery, JournalError> {
     recover(&fs::read(path)?)
 }
 
-/// An open, fsync-durable sweep journal. Every commit is flushed and
+/// Creates (truncating) a sweep journal at `path` and durably appends
+/// its header record; `faults` counts any absorbed append error.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn create(
+    path: &Path,
+    header: &JournalHeader,
+    faults: &mut FaultCounters,
+) -> Result<RecordLog, JournalError> {
+    let mut log = RecordLog::open_at(path, 0)?;
+    log.append(&header.payload(), faults)?;
+    Ok(log)
+}
+
+/// Reopens a sweep journal for resumption: recovers the longest valid
+/// prefix, verifies it records the same sweep as `expected`, truncates
+/// any garbage tail, and positions the log for further commits. A
+/// refused journal is left untouched.
+///
+/// # Errors
+///
+/// [`JournalError::Io`] / [`JournalError::Corrupt`] as in
+/// [`read_journal`], plus [`JournalError::Mismatch`] when the journal
+/// belongs to a different sweep.
+pub fn resume(
+    path: &Path,
+    expected: &JournalHeader,
+) -> Result<(RecordLog, JournalRecovery), JournalError> {
+    let recovery = read_journal(path)?;
+    if &recovery.header != expected {
+        return Err(JournalError::Mismatch(format!(
+            "journal records a different sweep (journal app {:?} seed {} scale {} protocol \
+             {} over {}x{} cells); refusing to mix results",
+            recovery.header.app,
+            recovery.header.seed,
+            recovery.header.scale,
+            recovery.header.config.protocol(),
+            recovery.header.algorithms.len(),
+            recovery.header.processors.len(),
+        )));
+    }
+    Ok((RecordLog::open_at(path, recovery.valid_bytes)?, recovery))
+}
+
+/// An open, fsync-durable record log. Every append is flushed and
 /// fsynced before it is reported durable; failed appends are truncated
 /// back to the last committed byte so a transient I/O error never
 /// leaves a torn line for the *same* process to trip over (a crash
-/// mid-append is handled by [`recover`] instead).
-#[derive(Debug)]
-pub struct JournalWriter {
-    file: File,
-    committed: u64,
-    #[cfg(feature = "chaos")]
-    chaos: Option<crate::chaos::ChaosPlan>,
-}
-
-impl JournalWriter {
-    /// Creates (truncating) a journal at `path` and durably writes the
-    /// header line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn create(path: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
-        let mut file = File::options()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let line = header.to_line();
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
-        sink::fsync_dir(sink::parent_dir(path))?;
-        Ok(JournalWriter {
-            file,
-            committed: line.len() as u64,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        })
-    }
-
-    /// Opens an existing journal for resumption: recovers the longest
-    /// valid prefix, verifies it records the same sweep as `expected`,
-    /// truncates any garbage tail, and positions the writer for further
-    /// commits.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] / [`JournalError::Corrupt`] as in
-    /// [`read_journal`], plus [`JournalError::Mismatch`] when the
-    /// journal belongs to a different sweep.
-    pub fn resume(
-        path: &Path,
-        expected: &JournalHeader,
-    ) -> Result<(Self, JournalRecovery), JournalError> {
-        let recovery = read_journal(path)?;
-        if &recovery.header != expected {
-            return Err(JournalError::Mismatch(format!(
-                "journal records a different sweep (journal app {:?} seed {} scale {} protocol \
-                 {} over {}x{} cells); refusing to mix results",
-                recovery.header.app,
-                recovery.header.seed,
-                recovery.header.scale,
-                recovery.header.config.protocol(),
-                recovery.header.algorithms.len(),
-                recovery.header.processors.len(),
-            )));
-        }
-        let mut file = File::options().write(true).open(path)?;
-        file.set_len(recovery.valid_bytes)?;
-        file.seek(SeekFrom::Start(recovery.valid_bytes))?;
-        file.sync_data()?;
-        Ok((
-            JournalWriter {
-                file,
-                committed: recovery.valid_bytes,
-                #[cfg(feature = "chaos")]
-                chaos: None,
-            },
-            recovery,
-        ))
-    }
-
-    /// Arms this writer with a chaos plan: journal faults from the plan
-    /// are injected into first append attempts.
-    #[cfg(feature = "chaos")]
-    pub fn with_chaos(mut self, plan: Option<crate::chaos::ChaosPlan>) -> Self {
-        self.chaos = plan;
-        self
-    }
-
-    /// Durably commits one cell: append, flush, fsync. Transient append
-    /// failures (including injected chaos faults) are absorbed with
-    /// bounded retries, truncating back to the last committed byte
-    /// between attempts; `faults` records every absorbed error and
-    /// retry.
-    ///
-    /// # Errors
-    ///
-    /// The last I/O error when every retry is exhausted.
-    pub fn commit_cell(
-        &mut self,
-        cell: &JournalCell,
-        faults: &mut FaultCounters,
-    ) -> Result<(), JournalError> {
-        let line = cell.to_line();
-        let mut attempt = 0u32;
-        loop {
-            match self.append_once(line.as_bytes(), cell.index, attempt) {
-                Ok(()) => {
-                    self.committed += line.len() as u64;
-                    return Ok(());
-                }
-                Err(e) => {
-                    faults.io_errors += 1;
-                    // Rewind over any partial write before retrying (or
-                    // giving up): the on-disk prefix must stay valid.
-                    self.file.set_len(self.committed)?;
-                    self.file.seek(SeekFrom::Start(self.committed))?;
-                    attempt += 1;
-                    if attempt >= MAX_COMMIT_ATTEMPTS {
-                        return Err(JournalError::Io(e));
-                    }
-                    faults.retries += 1;
-                }
-            }
-        }
-    }
-
-    /// One raw append attempt: write + fsync, with chaos faults
-    /// injected on first attempts when a plan is armed.
-    fn append_once(&mut self, bytes: &[u8], cell_index: usize, attempt: u32) -> io::Result<()> {
-        #[cfg(feature = "chaos")]
-        if attempt == 0 {
-            if let Some(fault) = self
-                .chaos
-                .as_ref()
-                .and_then(|plan| plan.journal_fault(cell_index))
-            {
-                match fault {
-                    crate::chaos::JournalFault::ShortWrite => {
-                        // Make the torn state real on disk before
-                        // failing, exactly as a crashed write would.
-                        let half = bytes.len() / 2;
-                        self.file.write_all(&bytes[..half])?;
-                        self.file.sync_data()?;
-                        return Err(io::Error::other("chaos: injected short write"));
-                    }
-                    crate::chaos::JournalFault::Error => {
-                        return Err(io::Error::other("chaos: injected append error"));
-                    }
-                }
-            }
-        }
-        #[cfg(not(feature = "chaos"))]
-        let _ = (cell_index, attempt);
-        self.file.write_all(bytes)?;
-        self.file.sync_data()
-    }
-
-    /// Bytes durably committed so far.
-    pub fn committed_bytes(&self) -> u64 {
-        self.committed
-    }
-}
-
-/// The result of recovering a [`RecordLog`]: the longest valid prefix
-/// of records plus an exact account of everything dropped.
-#[derive(Debug)]
-pub struct RecordRecovery {
-    /// Parsed records in append order.
-    pub records: Vec<JsonValue>,
-    /// Lines discarded (empty when the log is pristine).
-    pub dropped: Vec<DroppedLine>,
-    /// Byte length of the valid prefix; everything past this offset is
-    /// garbage that [`RecordLog::open`] truncates away.
-    pub valid_bytes: u64,
-}
-
-/// Recovers a generic record log from raw bytes, keeping the longest
-/// valid prefix. Unlike sweep journals there is no mandatory header:
-/// an empty file is a valid, empty log. A line survives when its
-/// checksum verifies, its payload strictly parses, and the payload
-/// carries `"schema": <schema>`; the first defect ends the prefix.
-pub fn recover_records(data: &[u8], schema: &str) -> RecordRecovery {
-    let mut chunks: Vec<&[u8]> = Vec::new();
-    let mut start = 0usize;
-    for (i, &b) in data.iter().enumerate() {
-        if b == b'\n' {
-            chunks.push(&data[start..=i]);
-            start = i + 1;
-        }
-    }
-    if start < data.len() {
-        chunks.push(&data[start..]); // unterminated tail
-    }
-
-    let mut records = Vec::new();
-    let mut dropped = Vec::new();
-    let mut valid_bytes = 0u64;
-    let mut invalid_at: Option<usize> = None;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let line_no = i + 1;
-        if let Some(first_bad) = invalid_at {
-            dropped.push(DroppedLine {
-                line: line_no,
-                reason: format!("discarded: follows invalid line {first_bad}"),
-            });
-            continue;
-        }
-        let parsed = line_body(chunk)
-            .ok_or("torn line (no terminating newline or invalid UTF-8)".to_owned())
-            .and_then(|body| {
-                if body.is_empty() {
-                    return Err("empty line".into());
-                }
-                let (crc_hex, payload) = body
-                    .split_once(' ')
-                    .ok_or("missing checksum prefix".to_owned())?;
-                if crc_hex.len() != 16 {
-                    return Err("checksum prefix is not 16 hex digits".into());
-                }
-                let crc = u64::from_str_radix(crc_hex, 16)
-                    .map_err(|_| "checksum prefix is not hex".to_owned())?;
-                if crc != fnv1a64(payload.as_bytes()) {
-                    return Err("checksum mismatch (torn or corrupted line)".into());
-                }
-                let doc = json::parse(payload).map_err(|e| format!("payload rejected: {e}"))?;
-                if doc.get("schema").and_then(JsonValue::as_str) != Some(schema) {
-                    return Err(format!("payload is not schema {schema}"));
-                }
-                Ok(doc)
-            });
-        match parsed {
-            Ok(doc) => {
-                records.push(doc);
-                valid_bytes += chunk.len() as u64;
-            }
-            Err(reason) => {
-                dropped.push(DroppedLine {
-                    line: line_no,
-                    reason,
-                });
-                invalid_at = Some(line_no);
-            }
-        }
-    }
-    RecordRecovery {
-        records,
-        dropped,
-        valid_bytes,
-    }
-}
-
-/// A generic append-only checksummed record log, sharing the sweep
-/// journal's line format (`<crc16hex> <json>\n`) and durability
-/// discipline (append + flush + fsync, bounded retries rewinding to the
-/// last committed byte) but parametrized over the payload schema. The
-/// placement service layers its durable job queue on this.
+/// mid-append is handled by recovery instead).
 #[derive(Debug)]
 pub struct RecordLog {
     file: File,
     committed: u64,
+    /// Chaos fault armed for the next append's first attempt.
+    #[cfg(feature = "chaos")]
+    fault: Option<crate::chaos::JournalFault>,
 }
 
 impl RecordLog {
@@ -782,22 +601,34 @@ impl RecordLog {
             Err(e) => return Err(JournalError::Io(e)),
         };
         let recovery = recover_records(&data, schema);
+        Ok((Self::open_at(path, recovery.valid_bytes)?, recovery))
+    }
+
+    /// Opens (creating if absent) the log at `path` for appends after
+    /// its first `valid_bytes` bytes, durably truncating the rest.
+    fn open_at(path: &Path, valid_bytes: u64) -> Result<Self, JournalError> {
         let mut file = File::options()
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
-        file.set_len(recovery.valid_bytes)?;
-        file.seek(SeekFrom::Start(recovery.valid_bytes))?;
+        file.set_len(valid_bytes)?;
+        file.seek(SeekFrom::Start(valid_bytes))?;
         file.sync_data()?;
         sink::fsync_dir(sink::parent_dir(path))?;
-        Ok((
-            RecordLog {
-                file,
-                committed: recovery.valid_bytes,
-            },
-            recovery,
-        ))
+        Ok(RecordLog {
+            file,
+            committed: valid_bytes,
+            #[cfg(feature = "chaos")]
+            fault: None,
+        })
+    }
+
+    /// Arms a chaos fault for the first attempt of the next
+    /// [`RecordLog::append`]; the retry after it succeeds.
+    #[cfg(feature = "chaos")]
+    pub fn inject_fault(&mut self, fault: Option<crate::chaos::JournalFault>) {
+        self.fault = fault;
     }
 
     /// Durably appends one record: checksum-frame, write, flush, fsync.
@@ -818,17 +649,15 @@ impl RecordLog {
         let line = to_line(payload);
         let mut attempt = 0u32;
         loop {
-            let res = self
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|()| self.file.sync_data());
-            match res {
+            match self.write_once(line.as_bytes()) {
                 Ok(()) => {
                     self.committed += line.len() as u64;
                     return Ok(());
                 }
                 Err(e) => {
                     faults.io_errors += 1;
+                    // Rewind over any partial write before retrying (or
+                    // giving up): the on-disk prefix must stay valid.
                     self.file.set_len(self.committed)?;
                     self.file.seek(SeekFrom::Start(self.committed))?;
                     attempt += 1;
@@ -839,6 +668,27 @@ impl RecordLog {
                 }
             }
         }
+    }
+
+    /// One raw append attempt: write + fsync, unless an armed chaos
+    /// fault fires instead.
+    fn write_once(&mut self, bytes: &[u8]) -> io::Result<()> {
+        #[cfg(feature = "chaos")]
+        match self.fault.take() {
+            Some(crate::chaos::JournalFault::ShortWrite) => {
+                // Make the torn state real on disk before failing,
+                // exactly as a crashed write would.
+                self.file.write_all(&bytes[..bytes.len() / 2])?;
+                self.file.sync_data()?;
+                return Err(io::Error::other("chaos: injected short write"));
+            }
+            Some(crate::chaos::JournalFault::Error) => {
+                return Err(io::Error::other("chaos: injected append error"));
+            }
+            None => {}
+        }
+        self.file.write_all(bytes)?;
+        self.file.sync_data()
     }
 
     /// Bytes durably committed so far.
@@ -929,23 +779,23 @@ mod tests {
     }
 
     #[test]
-    fn writer_creates_commits_and_resumes() {
+    fn journal_creates_commits_and_resumes() {
         let dir = tmp_dir("writer");
         let path = dir.join("sweep.journal");
         let h = sample_header();
         let mut faults = FaultCounters::new();
-        let mut w = JournalWriter::create(&path, &h).unwrap();
-        w.commit_cell(&sample_cell(1), &mut faults).unwrap();
+        let mut log = create(&path, &h, &mut faults).unwrap();
+        log.append(&sample_cell(1).payload(), &mut faults).unwrap();
         assert_eq!(faults, FaultCounters::new());
         let on_disk = fs::metadata(&path).unwrap().len();
-        assert_eq!(w.committed_bytes(), on_disk);
-        drop(w);
+        assert_eq!(log.committed_bytes(), on_disk);
+        drop(log);
 
-        let (mut w, rec) = JournalWriter::resume(&path, &h).unwrap();
+        let (mut log, rec) = resume(&path, &h).unwrap();
         assert_eq!(rec.cells, vec![sample_cell(1)]);
         assert!(rec.dropped.is_empty());
-        w.commit_cell(&sample_cell(0), &mut faults).unwrap();
-        drop(w);
+        log.append(&sample_cell(0).payload(), &mut faults).unwrap();
+        drop(log);
         let rec = read_journal(&path).unwrap();
         assert_eq!(rec.cells.len(), 2);
         fs::remove_dir_all(&dir).ok();
@@ -957,23 +807,23 @@ mod tests {
         let path = dir.join("sweep.journal");
         let h = sample_header();
         let mut faults = FaultCounters::new();
-        let mut w = JournalWriter::create(&path, &h).unwrap();
-        w.commit_cell(&sample_cell(0), &mut faults).unwrap();
-        let good_len = w.committed_bytes();
-        drop(w);
+        let mut log = create(&path, &h, &mut faults).unwrap();
+        log.append(&sample_cell(0).payload(), &mut faults).unwrap();
+        let good_len = log.committed_bytes();
+        drop(log);
         // Crash mid-append: half a line, no newline.
         let torn = sample_cell(1).to_line();
         let mut f = File::options().append(true).open(&path).unwrap();
         f.write_all(&torn.as_bytes()[..torn.len() / 2]).unwrap();
         drop(f);
 
-        let (w, rec) = JournalWriter::resume(&path, &h).unwrap();
+        let (log, rec) = resume(&path, &h).unwrap();
         assert_eq!(rec.cells, vec![sample_cell(0)]);
         assert_eq!(rec.dropped.len(), 1);
         assert!(rec.dropped[0].reason.contains("torn"), "{:?}", rec.dropped);
         assert_eq!(rec.valid_bytes, good_len);
         assert_eq!(fs::metadata(&path).unwrap().len(), good_len);
-        drop(w);
+        drop(log);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -982,13 +832,23 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let path = dir.join("sweep.journal");
         let h = sample_header();
-        drop(JournalWriter::create(&path, &h).unwrap());
+        drop(create(&path, &h, &mut FaultCounters::new()).unwrap());
+        // A torn tail the refused resume must not truncate away.
+        let mut f = File::options().append(true).open(&path).unwrap();
+        f.write_all(b"0123 torn").unwrap();
+        drop(f);
+        let before = fs::read(&path).unwrap();
         let mut other = sample_header();
         other.seed = 99;
         assert!(matches!(
-            JournalWriter::resume(&path, &other),
+            resume(&path, &other),
             Err(JournalError::Mismatch(_))
         ));
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            before,
+            "a refused journal is untouched"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -999,14 +859,12 @@ mod tests {
         let dir = tmp_dir("protocol-mismatch");
         let path = dir.join("sweep.journal");
         let h = sample_header();
-        drop(JournalWriter::create(&path, &h).unwrap());
+        drop(create(&path, &h, &mut FaultCounters::new()).unwrap());
         let mut other = sample_header();
         let mut builder = ArchConfig::builder();
         builder.protocol(Protocol::Dragon);
         other.config = builder.build().unwrap();
-        let err = JournalWriter::resume(&path, &other)
-            .err()
-            .expect("resume must refuse a protocol mismatch");
+        let err = resume(&path, &other).expect_err("resume must refuse a protocol mismatch");
         match err {
             JournalError::Mismatch(msg) => assert!(msg.contains("protocol wi"), "{msg}"),
             other => panic!("expected mismatch, got {other:?}"),

@@ -38,7 +38,6 @@ mod error;
 mod experiment;
 pub mod export;
 pub mod figures;
-pub mod grid;
 pub mod journal;
 pub mod manifest;
 pub mod report;
@@ -49,13 +48,13 @@ pub mod tables;
 pub use error::Error;
 pub use experiment::{
     run_placement, run_placement_attributed, run_placement_with_config, run_sweep,
-    run_sweep_manifested, ExperimentResult, PreparedApp,
+    ExperimentResult, PreparedApp,
 };
 pub use journal::{
     JournalError, JournalHeader, JournalRecovery, RecordLog, RecordRecovery, JOURNAL_SCHEMA,
 };
 pub use manifest::{ManifestEntry, RunManifest, METRICS_SCHEMA};
-pub use report::{Regression, Report, ReportGroup, ReportHole, REPORT_SCHEMA};
+pub use report::{Regression, Report, ReportError, ReportGroup, ReportHole, REPORT_SCHEMA};
 pub use service::{
     LockFile, PlacementService, ServiceConfig, ServiceError, ServiceRecovery, SERVICE_JOURNAL,
     SERVICE_LOCK,

@@ -1,12 +1,13 @@
 //! Run manifests: machine-readable records of what a run executed.
 //!
 //! Every experiment entry point (the CLI's `simulate --metrics`, the
-//! bench binaries, [`crate::run_sweep_manifested`]) can emit a manifest:
-//! a single JSON document recording the architecture configuration,
-//! generation parameters, wall time, per-combination results and — when
-//! the `obs` feature is on — the engine's observability summary. The
-//! schema is versioned via the [`METRICS_SCHEMA`] tag so downstream
-//! tooling can reject documents it does not understand.
+//! bench binaries, [`crate::SupervisedSweep::manifest`]) can emit a
+//! manifest: a single JSON document recording the architecture
+//! configuration, generation parameters, wall time, per-combination
+//! results and — when the `obs` feature is on — the engine's
+//! observability summary. The schema is versioned via the
+//! [`METRICS_SCHEMA`] tag so downstream tooling can reject documents it
+//! does not understand.
 //!
 //! # Example
 //!

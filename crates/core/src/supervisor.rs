@@ -18,14 +18,14 @@
 
 use crate::error::Error;
 use crate::experiment::{run_placement, run_placement_attributed, PreparedApp};
-use crate::journal::{DroppedLine, JournalCell, JournalError, JournalHeader, JournalWriter};
+use crate::journal::{self, DroppedLine, JournalCell, JournalError, JournalHeader, RecordLog};
 use crate::manifest::{ManifestEntry, RunManifest};
 use placesim_machine::{AttrCollector, AttributionConfig};
 use placesim_obs::json::JsonWriter;
 use placesim_obs::{sink, FaultCounters};
 use placesim_placement::PlacementAlgorithm;
 use placesim_trace::par::{
-    max_workers, panic_payload_summary, parallel_map_isolated_bounded, CancelToken, IsolatedOutcome,
+    panic_payload_summary, parallel_map_isolated, CancelToken, IsolatedOutcome,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -422,26 +422,22 @@ pub fn run_supervised_sweep(
     sup: &SupervisorConfig,
 ) -> Result<SupervisedSweep, Error> {
     let header = sweep_header(app, algorithms, processors);
-    let (writer, mut cells, dropped) = if resume && journal_path.exists() {
-        let (writer, recovery) = JournalWriter::resume(journal_path, &header)?;
-        (writer, recovery.cells, recovery.dropped)
+    let mut faults = FaultCounters::new();
+    let (log, mut cells, dropped) = if resume && journal_path.exists() {
+        let (log, recovery) = journal::resume(journal_path, &header)?;
+        (log, recovery.cells, recovery.dropped)
     } else {
-        (
-            JournalWriter::create(journal_path, &header)?,
-            Vec::new(),
-            Vec::new(),
-        )
+        let log = journal::create(journal_path, &header, &mut faults)?;
+        (log, Vec::new(), Vec::new())
     };
-    #[cfg(feature = "chaos")]
-    let writer = writer.with_chaos(sup.chaos.clone());
     let resumed = cells.len();
 
     let pending: Vec<usize> = (0..header.cell_count())
         .filter(|i| !cells.iter().any(|c| c.index == *i))
         .collect();
 
-    let writer = Mutex::new(writer);
-    let faults = Mutex::new(FaultCounters::new());
+    let log = Mutex::new(log);
+    let faults = Mutex::new(faults);
     let monitor = Mutex::new(SweepMonitor::new(sup, &header, resumed));
     // Surface the telemetry file immediately (zero cells done) so
     // watchers can start polling before the first cell lands.
@@ -449,10 +445,9 @@ pub fn run_supervised_sweep(
     let cancel = CancelToken::new();
     // `PLACESIM_THREADS` is the machine-wide budget and each cell runs
     // on one thread, so the cell pool takes all of it.
-    let cell_workers = max_workers();
-    let outcomes = parallel_map_isolated_bounded(&pending, Some(&cancel), cell_workers, |&index| {
+    let outcomes = parallel_map_isolated(&pending, Some(&cancel), |&index| {
         supervise_cell(
-            app, algorithms, &header, index, sup, &writer, &faults, &monitor, &cancel,
+            app, algorithms, &header, index, sup, &log, &faults, &monitor, &cancel,
         )
     });
 
@@ -533,7 +528,7 @@ fn supervise_cell(
     header: &JournalHeader,
     index: usize,
     sup: &SupervisorConfig,
-    writer: &Mutex<JournalWriter>,
+    log: &Mutex<RecordLog>,
     faults: &Mutex<FaultCounters>,
     monitor: &Mutex<SweepMonitor>,
     cancel: &CancelToken,
@@ -572,9 +567,15 @@ fn supervise_cell(
                     entry,
                 };
                 let committed = {
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
+                    let mut log = log.lock().unwrap_or_else(|p| p.into_inner());
                     let mut f = faults.lock().unwrap_or_else(|p| p.into_inner());
-                    w.commit_cell(&cell, &mut f)
+                    #[cfg(feature = "chaos")]
+                    log.inject_fault(
+                        sup.chaos
+                            .as_ref()
+                            .and_then(|plan| plan.journal_fault(index)),
+                    );
+                    log.append(&cell.payload(), &mut f)
                 };
                 return match committed {
                     Ok(()) => {

@@ -266,22 +266,6 @@ pub fn parallel_map_isolated<T, R, F>(
 ) -> Vec<IsolatedOutcome<R>>
 where
     T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_isolated_bounded(items, cancel, max_workers(), f)
-}
-
-/// [`parallel_map_isolated`] with an explicit worker-count cap instead
-/// of the ambient [`max_workers`] default.
-pub fn parallel_map_isolated_bounded<T, R, F>(
-    items: &[T],
-    cancel: Option<&CancelToken>,
-    max_pool: usize,
-    f: F,
-) -> Vec<IsolatedOutcome<R>>
-where
-    T: Sync,
     // Only `Send`, not `Sync`: outcomes (which may hold non-`Sync`
     // panic payloads) live behind a mutex, never shared by reference.
     R: Send,
@@ -292,7 +276,7 @@ where
         return Vec::new();
     }
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = max_pool.max(1).min(n);
+    let workers = max_workers().min(n);
     if workers <= 1 {
         return items
             .iter()
@@ -354,12 +338,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_isolated_map_respects_cap_and_order() {
-        let items: Vec<usize> = (0..32).collect();
-        for cap in [0, 1, 3, 64] {
-            let out = parallel_map_isolated_bounded(&items, None, cap, |&i| i * 2);
+    fn isolated_map_keeps_order_serial_and_pooled() {
+        // One item takes the serial branch; 32 fan out over the pool.
+        for n in [1, 32] {
+            let items: Vec<usize> = (0..n).collect();
+            let out = parallel_map_isolated(&items, None, |&i| i * 2);
             let got: Vec<usize> = out.into_iter().map(|o| o.into_done().unwrap()).collect();
-            assert_eq!(got, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
         }
     }
 

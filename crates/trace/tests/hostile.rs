@@ -1,10 +1,13 @@
 //! Hostile-input tests: no malformed trace file may crash the decoders
 //! or pre-allocate more than a small multiple of its own size.
 //!
-//! A custom global allocator tracks live and peak heap bytes, so every
-//! test can assert a hard bound on the decoder's peak allocation: the
-//! historical bug here was `Vec::with_capacity(thread_count)` on an
-//! attacker-controlled count, which let a 16-byte file reserve ~100 GB.
+//! A custom global allocator tracks live and peak heap bytes per
+//! thread, so every test can assert a hard bound on the decoder's peak
+//! allocation: the historical bug here was
+//! `Vec::with_capacity(thread_count)` on an attacker-controlled count,
+//! which let a 16-byte file reserve ~100 GB. The decoders are
+//! single-threaded, so per-thread accounting is exact, and tests running
+//! on the harness's other threads cannot pollute a measurement.
 //!
 //! The allocator needs `unsafe` (the library itself forbids it; this
 //! integration-test binary is a separate crate and opts in locally).
@@ -15,52 +18,60 @@ use placesim_trace::{
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// Wraps the system allocator, tracking current and peak live bytes.
-struct TrackingAlloc {
-    current: AtomicUsize,
-    peak: AtomicUsize,
+thread_local! {
+    /// Live heap bytes allocated minus freed on this thread (negative
+    /// when it frees memory another thread allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// High-water mark of [`LIVE`] since the last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
+/// Adds `delta` to this thread's live bytes, raising its peak. Const
+/// thread-locals without destructors stay accessible for the thread's
+/// whole life; `try_with` still guards the accounting, never the
+/// allocation.
+fn account(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+/// Wraps the system allocator, tracking live and peak bytes per thread.
+struct TrackingAlloc;
+
 // SAFETY: delegates allocation verbatim to `System`; the bookkeeping is
-// plain atomic arithmetic on the side.
+// plain thread-local arithmetic on the side.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            let live = self.current.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
-            self.peak.fetch_max(live, Ordering::SeqCst);
+            account(layout.size() as isize);
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        self.current.fetch_sub(layout.size(), Ordering::SeqCst);
+        account(-(layout.size() as isize));
     }
 }
 
 #[global_allocator]
-static ALLOC: TrackingAlloc = TrackingAlloc {
-    current: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
+static ALLOC: TrackingAlloc = TrackingAlloc;
 
-/// Serializes measured sections: the test harness runs `#[test]` fns on
-/// parallel threads, and concurrent allocations would pollute the peak.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f`, returning its result and the peak heap growth (bytes above
-/// the live size at entry) during the call.
+/// Runs `f` on the calling thread, returning its result and the peak
+/// heap growth (bytes above the thread's live size at entry) during the
+/// call.
 fn measured_peak<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    let _guard = MEASURE_LOCK.lock().unwrap();
-    let base = ALLOC.current.load(Ordering::SeqCst);
-    ALLOC.peak.store(base, Ordering::SeqCst);
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
     let result = f();
-    let peak = ALLOC.peak.load(Ordering::SeqCst);
-    (peak.saturating_sub(base), result)
+    let peak = PEAK.with(Cell::get);
+    ((peak - base).max(0) as usize, result)
 }
 
 /// The allocation bound for a decode of `input_len` bytes: a small

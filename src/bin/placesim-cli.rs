@@ -196,7 +196,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         Some("simulate") => Ok(cmd_simulate(&args[1..])?),
         Some("attribute") => cmd_attribute(&args[1..]),
         Some("probe") => Ok(cmd_probe(&args[1..])?),
-        Some("report") => Ok(cmd_report(&args[1..])?),
+        Some("report") => cmd_report(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
@@ -914,7 +914,7 @@ fn collect_manifests(operands: &[&str]) -> Result<Vec<RunManifest>, String> {
     Ok(manifests)
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
+fn cmd_report(args: &[String]) -> Result<(), CliError> {
     // Split positional manifest paths from `--flag value` pairs (every
     // report flag takes a value; unknown flags were rejected by `run`).
     let mut operands: Vec<&str> = Vec::new();
@@ -927,7 +927,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         }
     }
     if operands.is_empty() {
-        return Err("report needs at least one manifest file or directory".into());
+        return Err(CliError::Usage(
+            "report needs at least one manifest file or directory".into(),
+        ));
     }
 
     let protocol = protocol_flag(args)?;
@@ -938,13 +940,16 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         // mixed inputs without the filter stay correct too.
         manifests.retain(|m| m.config.protocol() == p);
         if manifests.is_empty() {
-            return Err(format!("no valid manifests for protocol {p}"));
+            return Err(format!("no valid manifests for protocol {p}").into());
         }
     }
     if manifests.is_empty() {
-        return Err("no valid manifests found".into());
+        return Err(CliError::Usage("no valid manifests found".into()));
     }
-    let report = Report::from_manifests(&manifests);
+    // A refused fold means the inputs would print numbers no simulation
+    // produced: a runtime failure, not a usage error.
+    let report =
+        Report::from_manifests(&manifests).map_err(|e| CliError::Runtime(e.to_string()))?;
     out!("{}", report.render_text());
 
     if let Some(out) = raw_flag(args, "--json")? {
@@ -957,9 +962,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let threshold = flag(args, "--threshold")?.unwrap_or(2.0);
         let base_manifests = collect_manifests(&[base])?;
         if base_manifests.is_empty() {
-            return Err(format!("baseline {base} holds no valid manifests"));
+            return Err(format!("baseline {base} holds no valid manifests").into());
         }
-        let baseline = Report::from_manifests(&base_manifests);
+        let baseline = Report::from_manifests(&base_manifests)
+            .map_err(|e| CliError::Runtime(format!("baseline {base}: {e}")))?;
         let regressions = report.compare(&baseline, threshold);
         if regressions.is_empty() {
             outln!("baseline check: no regressions beyond {threshold:.1}%");
@@ -970,10 +976,10 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                     r.app, r.algorithm, r.processors, r.metric, r.baseline, r.current, r.delta_pct
                 );
             }
-            return Err(format!(
+            return Err(CliError::Runtime(format!(
                 "{} regression(s) beyond {threshold:.1}% vs baseline",
                 regressions.len()
-            ));
+            )));
         }
     }
     Ok(())
@@ -1086,7 +1092,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     }
 
     let manifest = sweep.manifest();
-    let mut report = Report::from_manifests([&manifest]);
+    let mut report = Report::from_manifests([&manifest])
+        .map_err(|e| CliError::Runtime(format!("internal: sweep report refused: {e}")))?;
     report.holes = sweep
         .holes
         .iter()
@@ -1845,8 +1852,45 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.message().contains("regression"), "{err:?}");
+        assert_eq!(err.code(), 1, "a regression is a runtime failure");
         assert!(run(&s(&["report", &dir_s, "--bogus"])).is_err());
         assert!(run(&s(&["report"])).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `place` manifest beside real simulations (gauss
+    /// `SHARE-REFS+LB` p=16 placed and simulated, plus a RANDOM run) is
+    /// refused with the runtime exit code instead of being averaged in
+    /// as a zero-cycle run that fakes a vs-RANDOM win.
+    #[test]
+    fn report_refuses_non_simulation_manifests() {
+        let dir = std::env::temp_dir().join(format!("placesim-cli-mixed-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let runs = dir.join("runs");
+        std::fs::create_dir_all(&runs).unwrap();
+        let trace = dir.join("gauss.trace");
+        let trace_s = trace.to_str().unwrap().to_string();
+        run(&s(&[
+            "gen", "gauss", &trace_s, "--scale", "0.002", "--seed", "3",
+        ]))
+        .unwrap();
+        let metrics = |name: &str| runs.join(name).to_str().unwrap().to_string();
+        for (cmd, algo, out) in [
+            ("simulate", "RANDOM", "random.json"),
+            ("simulate", "SHARE-REFS+LB", "simulate.json"),
+            ("place", "SHARE-REFS+LB", "place.json"),
+        ] {
+            run(&s(&[cmd, &trace_s, algo, "16", "--metrics", &metrics(out)])).unwrap();
+        }
+
+        let runs_s = runs.to_str().unwrap().to_string();
+        let err = run(&s(&["report", &runs_s])).unwrap_err();
+        assert_eq!(err.code(), 1, "{err:?}");
+        assert!(err.message().contains("`place` manifest"), "{err:?}");
+
+        // Without the place manifest the two real runs report cleanly.
+        std::fs::remove_file(runs.join("place.json")).unwrap();
+        run(&s(&["report", &runs_s])).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,6 +9,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_placesim-cli");
@@ -29,8 +30,15 @@ const SWEEP: &[&str] = &[
     "2,4,8",
 ];
 
+/// A directory of the caller's own: the tests run in parallel, and one
+/// test's cleanup must not delete another's journal mid-sweep.
 fn tmp_dir() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("placesim-crash-recovery-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let d = std::env::temp_dir().join(format!(
+        "placesim-crash-recovery-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&d).unwrap();
     d
 }

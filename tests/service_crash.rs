@@ -108,6 +108,26 @@ fn wait_done(stream: &mut UnixStream, id: u64) -> String {
     resp
 }
 
+/// Polls the job's state over the wire until the worker has picked it
+/// up, so a kill sent right after lands mid-job on any build profile.
+fn wait_running(stream: &mut UnixStream, id: u64) {
+    let request =
+        format!("{{\"schema\": \"placesim-service-v1\", \"op\": \"result\", \"id\": {id}}}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let resp = roundtrip(stream, &request);
+        if resp.contains("\"state\": \"running\"") {
+            return;
+        }
+        assert!(
+            resp.contains("\"state\": \"queued\""),
+            "job {id} left the queue without being seen running: {resp}"
+        );
+        assert!(Instant::now() < deadline, "job {id} never started: {resp}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn shutdown(dir: &Path, mut child: Child) {
     let mut stream = connect(dir);
     let resp = roundtrip(
@@ -171,7 +191,7 @@ fn sigkilled_daemon_resumes_to_byte_identical_results() {
     let mut child = spawn_daemon(&dir);
     let mut stream = connect(&dir);
     let id = submit(&mut stream, SWEEP_JOB);
-    std::thread::sleep(Duration::from_millis(100));
+    wait_running(&mut stream, id);
     child.kill().expect("SIGKILL");
     child.wait().unwrap();
     drop(stream);
@@ -182,7 +202,7 @@ fn sigkilled_daemon_resumes_to_byte_identical_results() {
     assert!(journal.contains("\"kind\": \"job\""), "job record missing");
     assert!(
         !journal.contains("\"kind\": \"done\""),
-        "kill landed too late; tighten the sleep"
+        "kill landed after the job finished"
     );
 
     // Restart on the same directory: the stale lockfile (dead PID) is
